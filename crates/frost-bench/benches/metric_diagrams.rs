@@ -44,26 +44,13 @@ fn bench_engines(c: &mut Criterion) {
             ),
             &(),
             |b, _| {
-                // Sequential entry point: the bench compares the two
-                // algorithms, not the host's thread count.
-                b.iter(|| {
-                    DiagramEngine::Optimized.confusion_series_sequential(
-                        n,
-                        &gen.truth,
-                        &experiment,
-                        s,
-                    )
-                })
+                b.iter(|| DiagramEngine::Optimized.confusion_series(n, &gen.truth, &experiment, s))
             },
         );
         group.bench_with_input(
             BenchmarkId::new("naive", format!("{}-n{n}-m{matches}", preset.config.name)),
             &(),
-            |b, _| {
-                b.iter(|| {
-                    DiagramEngine::Naive.confusion_series_sequential(n, &gen.truth, &experiment, s)
-                })
-            },
+            |b, _| b.iter(|| DiagramEngine::Naive.confusion_series(n, &gen.truth, &experiment, s)),
         );
     }
     group.finish();

@@ -41,18 +41,14 @@ fn main() {
             preset.config.seed ^ 0xbead,
         );
 
-        // Warm-up + measure: optimized. The sequential entry point
-        // keeps this an algorithm-vs-algorithm comparison (the
-        // production confusion_series also shards sample points
-        // across threads, which would fold host parallelism into the
-        // paper's Table 1 ratio).
+        // Both engines run one experiment on the calling thread, so
+        // this is an algorithm-vs-algorithm comparison.
         let t0 = Instant::now();
-        let optimized =
-            DiagramEngine::Optimized.confusion_series_sequential(n, &gen.truth, &experiment, s);
+        let optimized = DiagramEngine::Optimized.confusion_series(n, &gen.truth, &experiment, s);
         let custom_time = t0.elapsed();
 
         let t1 = Instant::now();
-        let naive = DiagramEngine::Naive.confusion_series_sequential(n, &gen.truth, &experiment, s);
+        let naive = DiagramEngine::Naive.confusion_series(n, &gen.truth, &experiment, s);
         let naive_time = t1.elapsed();
 
         assert_eq!(
@@ -80,17 +76,14 @@ fn main() {
     // one dataset uses the latter — see the pairset bench's
     // diagram_sweep section for thread-scaling numbers.)
     // Warm-up pass so the sequential/parallel comparison below is not
-    // skewed by cold caches. Both sides use the unsharded sweep: the
-    // baseline must actually be sequential, and the rayon branch
-    // already parallelizes across datasets — inner point-sharding
-    // would nest scoped-thread fan-outs and oversubscribe.
+    // skewed by cold caches.
     for (n, truth, e) in &sweeps {
-        let _ = DiagramEngine::Optimized.confusion_series_sequential(*n, truth, e, s);
+        let _ = DiagramEngine::Optimized.confusion_series(*n, truth, e, s);
     }
     let t_seq = Instant::now();
     let sequential: Vec<_> = sweeps
         .iter()
-        .map(|(n, truth, e)| DiagramEngine::Optimized.confusion_series_sequential(*n, truth, e, s))
+        .map(|(n, truth, e)| DiagramEngine::Optimized.confusion_series(*n, truth, e, s))
         .collect();
     let seq_time = t_seq.elapsed();
     use rayon::prelude::*;
@@ -98,7 +91,7 @@ fn main() {
     let parallel: Vec<_> = sweeps
         .par_iter()
         .with_min_len(1)
-        .map(|(n, truth, e)| DiagramEngine::Optimized.confusion_series_sequential(*n, truth, e, s))
+        .map(|(n, truth, e)| DiagramEngine::Optimized.confusion_series(*n, truth, e, s))
         .collect();
     let par_time = t_par.elapsed();
     assert_eq!(sequential, parallel, "sharded sweep changed the results");

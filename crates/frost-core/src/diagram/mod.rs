@@ -13,23 +13,34 @@
 //!   (`O(s · (|D| + |Matches|))`), the baseline of Table 1.
 //! * [`optimized`] — Snowman's algorithm (Appendix D): a single pass over
 //!   the matches in descending similarity order, maintaining the
-//!   experiment clustering with a tracked union-find and *dynamically*
-//!   maintaining the intersection clustering
-//!   (`O(|D| + |Matches|·(s + log |Matches|))`, and faster the more
-//!   similar experiment and ground truth are).
+//!   experiment clustering with a union-find and *dynamically*
+//!   maintaining the intersection clustering. The pass runs once, at full
+//!   resolution, into a [`ConfusionCurve`]: `(TP, TP + FP)` after every
+//!   prefix of the matches. A sampled series is then a slice of the curve
+//!   (`O(s)`), so one curve answers every sample count, every axis pair
+//!   and [`MetricDiagram::best_threshold`].
 //!
 //! Sampling follows the paper: rather than stepping the threshold by a
 //! constant amount (which concentrates points wherever scores cluster),
 //! the number of *matches* between consecutive points is constant. Point
 //! `i` applies the `⌊i·|Matches|/(s−1)⌋` highest-scoring matches; point 0
 //! corresponds to threshold `+∞` (no matches).
+//!
+//! Appendix D.5 observes that exploring the threshold timeline
+//! interactively is slow, because a range that starts before the previous
+//! one ended must reset the clusterings in `O(|D|)`, and asks for a way
+//! to revert merges. The curve makes reverting unnecessary: a range
+//! ([`ConfusionCurve::range`]) or the new true and false positives
+//! between two points ([`ConfusionCurve::delta`]) are reads of the curve,
+//! in any order.
 
 pub mod naive;
 pub mod optimized;
-pub mod timeline;
+
+pub use optimized::ConfusionCurve;
 
 use crate::clustering::Clustering;
-use crate::dataset::{Experiment, ScoredPair};
+use crate::dataset::Experiment;
 use crate::metrics::confusion::ConfusionMatrix;
 use crate::metrics::pair::PairMetric;
 use serde::{Deserialize, Serialize};
@@ -53,7 +64,8 @@ pub struct DiagramPoint {
 pub enum DiagramEngine {
     /// Per-threshold recomputation (Table 1 baseline).
     Naive,
-    /// Appendix D: tracked union-find + dynamic intersection.
+    /// Appendix D: one union-find + dynamic-intersection pass into a
+    /// [`ConfusionCurve`], then a slice.
     Optimized,
 }
 
@@ -64,19 +76,10 @@ impl DiagramEngine {
     /// The experiment's matches are sorted by similarity descending
     /// internally; the experiment clustering at each point is the
     /// transitive closure of the applied prefix (Frost's experiments are
-    /// clusterings, §1.2).
+    /// clusterings, §1.2). Both engines return identical series.
     ///
     /// # Panics
     /// Panics if `s < 2` or the ground truth does not cover `n` records.
-    ///
-    /// One *huge* series is itself sharded across rayon tasks: when
-    /// the sweep's work (`records + matches`) reaches
-    /// [`PARALLEL_SWEEP_MIN_MATCHES`], contiguous ranges of sample
-    /// points are computed in parallel (the naive engine recomputes
-    /// each point anyway; the optimized engine replays the match
-    /// prefix per range in one batch). Results are identical to the
-    /// sequential sweep — every matrix is a pure function of the
-    /// applied prefix.
     pub fn confusion_series(
         self,
         n: usize,
@@ -84,71 +87,27 @@ impl DiagramEngine {
         experiment: &Experiment,
         s: usize,
     ) -> Vec<DiagramPoint> {
-        self.series_one(n, truth, experiment, s, true)
-    }
-
-    /// [`confusion_series`](Self::confusion_series) without the
-    /// point-level sharding: the whole sweep runs on the calling
-    /// thread. For callers that manage their own parallelism around
-    /// independent sweeps (nesting scoped-thread fan-outs
-    /// oversubscribes) or that time the underlying algorithms
-    /// apples-to-apples.
-    pub fn confusion_series_sequential(
-        self,
-        n: usize,
-        truth: &Clustering,
-        experiment: &Experiment,
-        s: usize,
-    ) -> Vec<DiagramPoint> {
-        self.series_one(n, truth, experiment, s, false)
-    }
-
-    /// [`confusion_series`](Self::confusion_series) with point-level
-    /// sharding opt-in — the multi-experiment sweep disables it inside
-    /// its own rayon tasks (the vendored rayon spawns scoped threads
-    /// per call, so nesting would oversubscribe).
-    fn series_one(
-        self,
-        n: usize,
-        truth: &Clustering,
-        experiment: &Experiment,
-        s: usize,
-        shard_points: bool,
-    ) -> Vec<DiagramPoint> {
-        assert!(s >= 2, "a diagram needs at least two sample points");
-        assert_eq!(
-            truth.num_records(),
-            n,
-            "ground truth covers {} records, dataset has {n}",
-            truth.num_records()
-        );
-        let matches = experiment.pairs_by_similarity_desc();
-        let shards = if shard_points && n + matches.len() >= PARALLEL_SWEEP_MIN_MATCHES {
-            rayon::current_num_threads()
-        } else {
-            1
-        };
-        match (self, shards) {
-            (DiagramEngine::Naive, 0..=1) => naive::confusion_series(n, truth, &matches, s),
-            (DiagramEngine::Naive, _) => {
-                naive::confusion_series_sharded(n, truth, &matches, s, shards)
+        match self {
+            DiagramEngine::Naive => {
+                assert!(s >= 2, "a diagram needs at least two sample points");
+                assert_eq!(
+                    truth.num_records(),
+                    n,
+                    "ground truth covers {} records, dataset has {n}",
+                    truth.num_records()
+                );
+                naive::confusion_series(n, truth, &experiment.pairs_by_similarity_desc(), s)
             }
-            (DiagramEngine::Optimized, 0..=1) => optimized::confusion_series(n, truth, &matches, s),
-            (DiagramEngine::Optimized, _) => {
-                optimized::confusion_series_sharded(n, truth, &matches, s, shards)
-            }
+            DiagramEngine::Optimized => ConfusionCurve::build(n, truth, experiment).points(s),
         }
     }
 
     /// Computes the confusion-matrix series of several experiments
     /// against the same ground truth — the multi-experiment sweep
     /// behind the N-Metrics view, Table 1 and the timeline figures.
-    ///
-    /// Experiments are independent, so they are sharded across rayon
-    /// tasks (one scoped thread per experiment, capped at the thread
-    /// count). Sweeps whose total work falls below
-    /// [`PARALLEL_SWEEP_MIN_MATCHES`] run on the calling thread —
-    /// spawning costs more than it saves on tiny diagrams.
+    /// The optimized engine builds the curves in parallel
+    /// ([`ConfusionCurve::build_multi`]) and slices each; the naive
+    /// baseline runs one experiment after the other.
     ///
     /// Returns one series per experiment, in input order.
     ///
@@ -161,47 +120,35 @@ impl DiagramEngine {
         experiments: &[&Experiment],
         s: usize,
     ) -> Vec<Vec<DiagramPoint>> {
-        use rayon::prelude::*;
-        // Per-sweep work is O(n + matches·…) for both engines, so the
-        // gate counts both terms.
-        let total_work: usize = experiments.iter().map(|e| e.len() + n).sum();
-        if total_work < PARALLEL_SWEEP_MIN_MATCHES || experiments.len() < 2 {
-            // Sequential over experiments — a single huge series still
-            // shards its own sample points.
-            return experiments
+        match self {
+            DiagramEngine::Naive => experiments
                 .iter()
-                .map(|e| self.series_one(n, truth, e, s, true))
-                .collect();
+                .map(|e| self.confusion_series(n, truth, e, s))
+                .collect(),
+            DiagramEngine::Optimized => ConfusionCurve::build_multi(n, truth, experiments)
+                .iter()
+                .map(|curve| curve.points(s))
+                .collect(),
         }
-        experiments
-            .par_iter()
-            .with_min_len(1)
-            .map(|e| self.series_one(n, truth, e, s, false))
-            .collect()
     }
 }
 
-/// Minimum sweep work (`records + matches`) before a diagram sweep
-/// fans out to threads — summed over all experiments for
-/// [`DiagramEngine::confusion_series_multi`], per series for the
-/// point-sharded [`DiagramEngine::confusion_series`]. Below this, one
-/// sweep is microseconds of work and thread spawning dominates end to
-/// end.
+/// Minimum total work (`records + matches`, summed over experiments)
+/// before [`ConfusionCurve::build_multi`] fans out to threads. Below
+/// this, one pass is microseconds of work and thread spawning
+/// dominates end to end.
 pub const PARALLEL_SWEEP_MIN_MATCHES: usize = 4_096;
+
+/// Prefix boundary of sample point `i` of `s` over `m` matches:
+/// `⌊i·m/(s−1)⌋`, computed in 128 bits so no `(i, m)` overflows.
+pub(crate) fn sample_boundary(m: usize, s: usize, i: usize) -> usize {
+    (i as u128 * m as u128 / (s - 1) as u128) as usize
+}
 
 /// Prefix boundaries for `s` sample points over `m` matches:
 /// `k_i = ⌊i·m/(s−1)⌋` for `i = 0..s`.
-pub(crate) fn sample_boundaries(m: usize, s: usize) -> Vec<usize> {
-    (0..s).map(|i| i * m / (s - 1)).collect()
-}
-
-/// Threshold value for a prefix of `k` matches.
-pub(crate) fn threshold_at(matches: &[ScoredPair], k: usize) -> f64 {
-    if k == 0 {
-        f64::INFINITY
-    } else {
-        matches[k - 1].similarity.unwrap_or(f64::NEG_INFINITY)
-    }
+pub(crate) fn sample_boundaries(m: usize, s: usize) -> impl Iterator<Item = usize> {
+    (0..s).map(move |i| sample_boundary(m, s, i))
 }
 
 /// A metric/metric diagram: two pair metrics evaluated over the same
@@ -295,8 +242,6 @@ impl MetricDiagram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::RecordPair;
-
     fn truth_ab_cd() -> Clustering {
         Clustering::from_assignment(&[0, 0, 1, 1])
     }
@@ -364,21 +309,30 @@ mod tests {
 
     #[test]
     fn sample_boundaries_cover_all_matches() {
-        assert_eq!(sample_boundaries(4, 3), vec![0, 2, 4]);
-        assert_eq!(sample_boundaries(5, 3), vec![0, 2, 5]);
-        assert_eq!(sample_boundaries(0, 2), vec![0, 0]);
-        let b = sample_boundaries(144_349, 100);
-        assert_eq!(b.len(), 100);
-        assert_eq!(*b.last().unwrap(), 144_349);
+        let b = |m, s| sample_boundaries(m, s).collect::<Vec<_>>();
+        assert_eq!(b(4, 3), vec![0, 2, 4]);
+        assert_eq!(b(5, 3), vec![0, 2, 5]);
+        assert_eq!(b(0, 2), vec![0, 0]);
+        let big = b(144_349, 100);
+        assert_eq!(big.len(), 100);
+        assert_eq!(*big.last().unwrap(), 144_349);
+        // `i·m` past usize::MAX must not wrap.
+        assert_eq!(
+            sample_boundary(usize::MAX, usize::MAX, usize::MAX - 1),
+            usize::MAX
+        );
+        assert_eq!(sample_boundary(usize::MAX, 3, 1), usize::MAX / 2);
     }
 
     #[test]
-    fn threshold_at_unscored_is_neg_infinity() {
-        let m = [crate::dataset::ScoredPair::unscored(RecordPair::from((
-            0u32, 1u32,
-        )))];
-        assert_eq!(threshold_at(&m, 1), f64::NEG_INFINITY);
-        assert_eq!(threshold_at(&m, 0), f64::INFINITY);
+    fn unscored_threshold_is_neg_infinity() {
+        let truth = truth_ab_cd();
+        let e = Experiment::from_pairs("unscored", [(0u32, 1u32)]);
+        for engine in [DiagramEngine::Naive, DiagramEngine::Optimized] {
+            let pts = engine.confusion_series(4, &truth, &e, 2);
+            assert_eq!(pts[0].threshold, f64::INFINITY);
+            assert_eq!(pts[1].threshold, f64::NEG_INFINITY);
+        }
     }
 
     #[test]
@@ -420,9 +374,9 @@ mod tests {
         DiagramEngine::Optimized.confusion_series(4, &truth_ab_cd(), &paper_experiment(), 1);
     }
 
-    /// The sharded multi-experiment sweep returns exactly the
-    /// per-experiment series, in input order — on both the sequential
-    /// small-work path and the rayon path.
+    /// The multi-experiment sweep returns exactly the per-experiment
+    /// series, in input order — on both the sequential small-work path
+    /// and the rayon path.
     #[test]
     fn multi_sweep_equals_individual_sweeps() {
         // Tiny: below the parallel gate.
@@ -458,50 +412,6 @@ mod tests {
             for (series, e) in multi.iter().zip(&refs) {
                 assert_eq!(series, &engine.confusion_series(n, &big_truth, e, 5));
             }
-        }
-    }
-
-    /// Point-level sharding of one series returns exactly the
-    /// sequential sweep, for both engines, across shard counts that
-    /// divide the points unevenly (including more shards than points).
-    #[test]
-    fn sharded_series_equals_sequential() {
-        let n = 5_000usize;
-        let assignment: Vec<u32> = (0..n as u32).map(|i| i / 4).collect();
-        let truth = Clustering::from_assignment(&assignment);
-        let e = Experiment::from_scored_pairs(
-            "sharded",
-            (0..n as u32 - 1).map(|i| {
-                let s = ((i.wrapping_mul(2654435761).wrapping_add(7)) % 1000) as f64 / 1000.0;
-                (i, i + 1, s)
-            }),
-        );
-        let matches = e.pairs_by_similarity_desc();
-        for s in [2usize, 3, 7, 100] {
-            let seq_opt = optimized::confusion_series(n, &truth, &matches, s);
-            let seq_naive = naive::confusion_series(n, &truth, &matches, s);
-            for shards in [1usize, 2, 3, 5, s + 3] {
-                assert_eq!(
-                    optimized::confusion_series_sharded(n, &truth, &matches, s, shards),
-                    seq_opt,
-                    "optimized s={s} shards={shards}"
-                );
-                assert_eq!(
-                    naive::confusion_series_sharded(n, &truth, &matches, s, shards),
-                    seq_naive,
-                    "naive s={s} shards={shards}"
-                );
-            }
-        }
-        // The public entry point (which gates on work and thread
-        // count) agrees too.
-        for engine in [DiagramEngine::Naive, DiagramEngine::Optimized] {
-            let via_public = engine.confusion_series(n, &truth, &e, 9);
-            let direct = match engine {
-                DiagramEngine::Naive => naive::confusion_series(n, &truth, &matches, 9),
-                DiagramEngine::Optimized => optimized::confusion_series(n, &truth, &matches, 9),
-            };
-            assert_eq!(via_public, direct);
         }
     }
 }

@@ -8,7 +8,7 @@
 //! are `O(s · (|D| + |Matches|))`, which Table 1 shows becoming
 //! impractical on large datasets.
 
-use super::{sample_boundaries, threshold_at, DiagramPoint};
+use super::{sample_boundaries, DiagramPoint};
 use crate::clustering::{Clustering, UnionFind};
 use crate::dataset::ScoredPair;
 use crate::metrics::confusion::ConfusionMatrix;
@@ -21,31 +21,8 @@ pub fn confusion_series(
     matches: &[ScoredPair],
     s: usize,
 ) -> Vec<DiagramPoint> {
-    let boundaries = sample_boundaries(matches.len(), s);
-    boundaries
-        .into_iter()
+    sample_boundaries(matches.len(), s)
         .map(|k| point_at(n, truth, matches, k))
-        .collect()
-}
-
-/// [`confusion_series`] with the sample points sharded across rayon
-/// tasks. Every point is recomputed from scratch anyway, so the points
-/// are embarrassingly parallel and the output is trivially identical
-/// to the sequential sweep.
-pub fn confusion_series_sharded(
-    n: usize,
-    truth: &Clustering,
-    matches: &[ScoredPair],
-    s: usize,
-    shards: usize,
-) -> Vec<DiagramPoint> {
-    use rayon::prelude::*;
-    let boundaries = sample_boundaries(matches.len(), s);
-    let min_len = boundaries.len().div_ceil(shards.max(1)).max(1);
-    boundaries
-        .par_iter()
-        .with_min_len(min_len)
-        .map(|&k| point_at(n, truth, matches, k))
         .collect()
 }
 
@@ -58,7 +35,10 @@ fn point_at(n: usize, truth: &Clustering, matches: &[ScoredPair], k: usize) -> D
     let experiment = Clustering::from_union_find(&mut uf);
     let matrix = ConfusionMatrix::from_clusterings(&experiment, truth);
     DiagramPoint {
-        threshold: threshold_at(matches, k),
+        threshold: match k {
+            0 => f64::INFINITY,
+            _ => matches[k - 1].similarity.unwrap_or(f64::NEG_INFINITY),
+        },
         matches_applied: k,
         matrix,
     }

@@ -567,17 +567,31 @@ fn process_buffer(conn: &mut Conn, token: usize, env: &LoopEnv) -> bool {
             if let Some(trace) = &trace {
                 trace.stamp(Stage::Admitted);
             }
-            match env.tx.try_send(Work {
+            let work = Work {
                 request,
                 deadline,
                 loop_id: env.loop_id,
                 token,
                 generation: conn.generation,
                 trace,
-            }) {
+            };
+            // The slot and the admission are counted before the
+            // handoff — once queued, a worker may render `/stats`
+            // before this thread runs again — and rolled back if the
+            // handoff fails. Reserving the slot first keeps the depth
+            // gauge within the queue bound.
+            let overload = env.state.overload();
+            let sent = if overload.reserve_queue_slot(env.options.max_queued.max(1)) {
+                let admitted_at = env.state.note_admitted();
+                env.tx.try_send(work).inspect_err(|_| {
+                    overload.queue_dequeued();
+                    env.state.undo_admitted(admitted_at);
+                })
+            } else {
+                Err(TrySendError::Full(work))
+            };
+            match sent {
                 Ok(()) => {
-                    env.state.overload().queue_enqueued();
-                    env.state.note_admitted();
                     conn.phase = Phase::Dispatched;
                     true
                 }

@@ -367,9 +367,26 @@ pub struct OverloadStats {
 }
 
 impl OverloadStats {
-    pub(crate) fn queue_enqueued(&self) {
-        let depth = self.queue_depth.fetch_add(1, Ordering::AcqRel) + 1;
-        self.queue_max_depth.fetch_max(depth, Ordering::AcqRel);
+    /// Reserves one of `cap` admission-queue slots before a request is
+    /// handed to the queue; `false` when all are taken. A slot is
+    /// released by [`queue_dequeued`](Self::queue_dequeued) once a
+    /// worker has taken the request (or the handoff failed), so the
+    /// depth never reads above `cap`, even while a worker is between
+    /// taking a request and releasing its slot.
+    pub(crate) fn reserve_queue_slot(&self, cap: usize) -> bool {
+        let cap = cap as i64;
+        let reserved =
+            self.queue_depth
+                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |depth| {
+                    (depth < cap).then_some(depth + 1)
+                });
+        match reserved {
+            Ok(depth) => {
+                self.queue_max_depth.fetch_max(depth + 1, Ordering::AcqRel);
+                true
+            }
+            Err(_) => false,
+        }
     }
 
     pub(crate) fn queue_dequeued(&self) {
@@ -432,6 +449,19 @@ impl OverloadStats {
     fn note_admitted(&self, secs: u64) {
         self.admitted.fetch_add(1, Ordering::Relaxed);
         self.slot(secs).admitted.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Takes back an admission counted at `secs` whose handoff to the
+    /// queue failed. The window slot is only touched while it still
+    /// holds that second, so a rollback never underflows a reused slot.
+    fn undo_admitted(&self, secs: u64) {
+        self.admitted.fetch_sub(1, Ordering::Relaxed);
+        let slot = &self.window[(secs % SHED_WINDOW_SECS) as usize];
+        if slot.epoch.load(Ordering::Relaxed) == secs {
+            let _ = slot
+                .admitted
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
+        }
     }
 
     fn note_shed(&self, reason: ShedReason, secs: u64) {
@@ -1044,8 +1074,19 @@ impl ServerState {
         self.started.elapsed().as_secs()
     }
 
-    pub(crate) fn note_admitted(&self) {
-        self.overload.note_admitted(self.clock_secs());
+    /// Counts an admission and returns its window second, for
+    /// [`undo_admitted`](Self::undo_admitted). Call it *before* the
+    /// request is handed to a worker, so the worker's own `/stats`
+    /// already sees it.
+    pub(crate) fn note_admitted(&self) -> u64 {
+        let secs = self.clock_secs();
+        self.overload.note_admitted(secs);
+        secs
+    }
+
+    /// Rolls back an admission whose queue handoff failed.
+    pub(crate) fn undo_admitted(&self, secs: u64) {
+        self.overload.undo_admitted(secs);
     }
 
     pub(crate) fn note_shed(&self, reason: ShedReason) {

@@ -330,3 +330,57 @@ fn error_statuses_and_unknown_routes() {
     assert_eq!(status, 400);
     handle.shutdown();
 }
+
+/// Request parameters past the declared input limits get a typed 400
+/// that names the limit, not an unbounded body or a handler panic;
+/// requests at the limit are still served byte-identically.
+#[test]
+fn over_limit_inputs_get_typed_400s() {
+    use frost_core::explore::setops::MAX_VENN_SETS;
+    use frost_storage::api::MAX_DIAGRAM_SAMPLES;
+    let reference = store();
+    let handle = start();
+    let base = format!("http://{}", handle.addr());
+    for samples in [MAX_DIAGRAM_SAMPLES + 1, 2_000_000] {
+        let (status, body) =
+            http_get(&format!("{base}/diagram?experiment=e1&samples={samples}")).unwrap();
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains(&MAX_DIAGRAM_SAMPLES.to_string()), "{body}");
+    }
+    let (status, body) = http_get(&format!(
+        "{base}/diagram?experiment=e1&samples={MAX_DIAGRAM_SAMPLES}"
+    ))
+    .unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(
+        body,
+        reference_body(
+            &reference,
+            Request::GetDiagram {
+                experiment: "e1".into(),
+                x: PairMetric::Recall,
+                y: PairMetric::Precision,
+                engine: DiagramEngine::Optimized,
+                samples: MAX_DIAGRAM_SAMPLES,
+            }
+        )
+    );
+
+    let list = |k: usize| vec!["e1"; k].join(",");
+    for target in [
+        format!("/compare?experiments={}", list(MAX_VENN_SETS + 1)),
+        format!("/venn?experiments={}", list(MAX_VENN_SETS)),
+    ] {
+        let (status, body) = http_get(&format!("{base}{target}")).unwrap();
+        assert_eq!(status, 400, "{target}: {body}");
+        assert!(body.contains("at most 32 sets"), "{body}");
+    }
+    for target in [
+        format!("/compare?experiments={}", list(MAX_VENN_SETS)),
+        format!("/venn?experiments={}", list(MAX_VENN_SETS - 1)),
+    ] {
+        let (status, body) = http_get(&format!("{base}{target}")).unwrap();
+        assert_eq!(status, 200, "{target}: {body}");
+    }
+    handle.shutdown();
+}

@@ -11,11 +11,17 @@
 
 use crate::store::{BenchmarkStore, StoreError};
 use frost_core::diagram::DiagramEngine;
-use frost_core::explore::setops::venn_regions;
+use frost_core::explore::setops::{venn_regions, MAX_VENN_SETS};
 use frost_core::metrics::confusion::ConfusionMatrix;
 use frost_core::metrics::pair::PairMetric;
 use frost_core::profiling::DatasetProfile;
 use serde::{Deserialize, Serialize};
+
+/// Most sample points a diagram request may ask for. A point renders
+/// to about 50 bytes of JSON, so the largest diagram is about half a
+/// megabyte; past the experiment's match count, extra points only
+/// repeat thresholds.
+pub const MAX_DIAGRAM_SAMPLES: usize = 10_000;
 
 /// An API request.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -252,6 +258,11 @@ pub fn handle(store: &BenchmarkStore, request: Request) -> Result<Response, Stor
             engine,
             samples,
         } => {
+            if !(2..=MAX_DIAGRAM_SAMPLES).contains(&samples) {
+                return Err(StoreError::InvalidInput(format!(
+                    "samples must be between 2 and {MAX_DIAGRAM_SAMPLES}, got {samples}"
+                )));
+            }
             let points = store.diagram_series(&experiment, engine, samples)?;
             Ok(Response::Diagram(
                 points
@@ -264,6 +275,12 @@ pub fn handle(store: &BenchmarkStore, request: Request) -> Result<Response, Stor
             experiments,
             include_gold,
         } => {
+            let sets = experiments.len() + usize::from(include_gold);
+            if sets > MAX_VENN_SETS {
+                return Err(StoreError::InvalidInput(format!(
+                    "a comparison takes at most {MAX_VENN_SETS} sets (experiments plus gold), got {sets}"
+                )));
+            }
             // Engine auto-selection: the N-Intersection viewer holds
             // every compared set in memory at once, so the cost model
             // (pair count × chunk occupancy, `pair_engine_hint`)
@@ -503,6 +520,61 @@ mod tests {
         let last = points.last().unwrap();
         assert_eq!(last.1, 1.0);
         assert_eq!(last.2, 1.0);
+    }
+
+    fn diagram(samples: usize) -> Result<Response, StoreError> {
+        handle(
+            &store(),
+            Request::GetDiagram {
+                experiment: "e2".into(),
+                x: PairMetric::Recall,
+                y: PairMetric::Precision,
+                engine: DiagramEngine::Optimized,
+                samples,
+            },
+        )
+    }
+
+    #[test]
+    fn diagram_samples_are_bounded() {
+        let Response::Diagram(points) = diagram(MAX_DIAGRAM_SAMPLES).unwrap() else {
+            panic!("wrong response type")
+        };
+        assert_eq!(points.len(), MAX_DIAGRAM_SAMPLES);
+        for samples in [0, 1, MAX_DIAGRAM_SAMPLES + 1, usize::MAX] {
+            let Err(StoreError::InvalidInput(reason)) = diagram(samples) else {
+                panic!("samples={samples} must be refused")
+            };
+            assert!(
+                reason.contains(&MAX_DIAGRAM_SAMPLES.to_string()),
+                "{reason}"
+            );
+        }
+    }
+
+    #[test]
+    fn comparisons_are_bounded_by_the_venn_mask_width() {
+        let compare = |experiments: usize, include_gold| {
+            handle(
+                &store(),
+                Request::CompareExperiments {
+                    experiments: vec!["e1".to_string(); experiments],
+                    include_gold,
+                },
+            )
+        };
+        // 32 sets fit the u32 membership mask, with or without gold.
+        let Response::Venn(regions) = compare(MAX_VENN_SETS, false).unwrap() else {
+            panic!("wrong response type")
+        };
+        assert_eq!(regions, vec![(u32::MAX, 1)]);
+        assert!(compare(MAX_VENN_SETS - 1, true).is_ok());
+        for (experiments, gold) in [(MAX_VENN_SETS, true), (MAX_VENN_SETS + 1, false)] {
+            let Err(StoreError::InvalidInput(reason)) = compare(experiments, gold) else {
+                panic!("{experiments} experiments (gold {gold}) must be refused")
+            };
+            assert!(reason.contains("at most 32 sets"), "{reason}");
+        }
     }
 
     #[test]

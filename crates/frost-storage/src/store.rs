@@ -2,12 +2,13 @@
 
 use frost_core::clustering::Clustering;
 use frost_core::dataset::{Dataset, Experiment, RoaringPairSet};
-use frost_core::diagram::{DiagramEngine, DiagramPoint};
+use frost_core::diagram::{ConfusionCurve, DiagramEngine, DiagramPoint};
 use frost_core::metrics::confusion::ConfusionMatrix;
 use frost_core::softkpi::ExperimentKpis;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors surfaced by store operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,9 +73,6 @@ pub struct StoredExperiment {
     pub kpis: Option<ExperimentKpis>,
 }
 
-/// Cache key for diagram series: `(experiment, engine, sample count)`.
-type DiagramKey = (String, DiagramEngine, usize);
-
 /// The benchmark store: datasets, gold standards and experiments, with
 /// cached evaluation results. Reads are lock-free snapshots; the caches
 /// sit behind a [`RwLock`] so a shared (multi-user) deployment can
@@ -84,7 +82,9 @@ pub struct BenchmarkStore {
     datasets: HashMap<String, Dataset>,
     gold_standards: HashMap<String, Clustering>,
     experiments: HashMap<String, StoredExperiment>,
-    diagram_cache: RwLock<HashMap<DiagramKey, Vec<DiagramPoint>>>,
+    /// One full-resolution confusion curve per experiment, built on the
+    /// first optimized diagram request; every sample count is a slice.
+    curves: RwLock<HashMap<String, Arc<ConfusionCurve>>>,
     matrix_cache: RwLock<HashMap<String, ConfusionMatrix>>,
 }
 
@@ -132,7 +132,10 @@ impl BenchmarkStore {
         );
         self.gold_standards.insert(dataset.into(), truth);
         self.matrix_cache.write().clear();
-        self.diagram_cache.write().clear();
+        let experiments = &self.experiments;
+        self.curves
+            .write()
+            .retain(|name, _| experiments.get(name).is_some_and(|e| e.dataset != dataset));
         Ok(())
     }
 
@@ -224,9 +227,7 @@ impl BenchmarkStore {
             .remove(name)
             .ok_or_else(|| StoreError::UnknownExperiment(name.into()))?;
         self.matrix_cache.write().remove(name);
-        self.diagram_cache
-            .write()
-            .retain(|(exp, _, _), _| exp != name);
+        self.curves.write().remove(name);
         Ok(())
     }
 
@@ -285,89 +286,57 @@ impl BenchmarkStore {
         Ok(matrix)
     }
 
-    /// A metric/metric diagram series for an experiment, cached per
-    /// `(experiment, engine, s)`.
+    /// The experiment's full-resolution confusion curve against its
+    /// dataset's gold standard: built by one Algorithm 1 pass on first
+    /// use, then shared until the gold standard is replaced or the
+    /// experiment is removed.
+    pub fn confusion_curve(&self, experiment: &str) -> Result<Arc<ConfusionCurve>, StoreError> {
+        if let Some(curve) = self.curves.read().get(experiment) {
+            return Ok(Arc::clone(curve));
+        }
+        let stored = self.experiment(experiment)?;
+        let ds = self.dataset(&stored.dataset)?;
+        let truth = self.gold_standard(&stored.dataset)?;
+        let curve = Arc::new(ConfusionCurve::build(ds.len(), truth, &stored.experiment));
+        Ok(Arc::clone(
+            self.curves
+                .write()
+                .entry(experiment.to_string())
+                .or_insert(curve),
+        ))
+    }
+
+    /// A metric/metric diagram series for an experiment: a slice of the
+    /// cached [`confusion_curve`](Self::confusion_curve) for the
+    /// optimized engine; the naive baseline recomputes every time.
     pub fn diagram_series(
         &self,
         experiment: &str,
         engine: DiagramEngine,
         s: usize,
     ) -> Result<Vec<DiagramPoint>, StoreError> {
-        let key = (experiment.to_string(), engine, s);
-        if let Some(points) = self.diagram_cache.read().get(&key) {
-            return Ok(points.clone());
+        match engine {
+            DiagramEngine::Optimized => Ok(self.confusion_curve(experiment)?.points(s)),
+            DiagramEngine::Naive => {
+                let stored = self.experiment(experiment)?;
+                let ds = self.dataset(&stored.dataset)?;
+                let truth = self.gold_standard(&stored.dataset)?;
+                Ok(engine.confusion_series(ds.len(), truth, &stored.experiment, s))
+            }
         }
-        let stored = self.experiment(experiment)?;
-        let ds = self.dataset(&stored.dataset)?;
-        let truth = self.gold_standard(&stored.dataset)?;
-        let points = engine.confusion_series(ds.len(), truth, &stored.experiment, s);
-        self.diagram_cache.write().insert(key, points.clone());
-        Ok(points)
     }
 
-    /// Diagram series for several experiments at once — the
-    /// multi-experiment N-Metrics sweep. Cached series are reused;
-    /// the uncached remainder is sharded across rayon tasks
-    /// ([`DiagramEngine::confusion_series_multi`]), then inserted into
-    /// the cache under one write lock. Results are in input order.
-    pub fn diagram_series_multi(
-        &self,
-        experiments: &[&str],
-        engine: DiagramEngine,
-        s: usize,
-    ) -> Result<Vec<Vec<DiagramPoint>>, StoreError> {
-        let mut out: Vec<Option<Vec<DiagramPoint>>> = vec![None; experiments.len()];
-        let mut missing: Vec<usize> = Vec::new();
-        {
-            let cache = self.diagram_cache.read();
-            for (i, name) in experiments.iter().enumerate() {
-                match cache.get(&(name.to_string(), engine, s)) {
-                    Some(points) => out[i] = Some(points.clone()),
-                    None => missing.push(i),
-                }
-            }
-        }
-        if !missing.is_empty() {
-            // Resolve all store lookups up front (borrow checks + the
-            // per-experiment dataset sizes), then sweep in parallel.
-            // The parallel engine requires one shared ground truth, so
-            // group the misses by dataset.
-            let mut by_dataset: HashMap<String, Vec<usize>> = HashMap::new();
-            for &i in &missing {
-                let stored = self.experiment(experiments[i])?;
-                by_dataset
-                    .entry(stored.dataset.clone())
-                    .or_default()
-                    .push(i);
-            }
-            let mut computed: Vec<(usize, Vec<DiagramPoint>)> = Vec::with_capacity(missing.len());
-            for (dataset, indices) in by_dataset {
-                let ds = self.dataset(&dataset)?;
-                let truth = self.gold_standard(&dataset)?;
-                let exps: Vec<&Experiment> = indices
-                    .iter()
-                    .map(|&i| Ok(&self.experiment(experiments[i])?.experiment))
-                    .collect::<Result<_, StoreError>>()?;
-                let series = engine.confusion_series_multi(ds.len(), truth, &exps, s);
-                computed.extend(indices.into_iter().zip(series));
-            }
-            let mut cache = self.diagram_cache.write();
-            for (i, points) in computed {
-                cache.insert((experiments[i].to_string(), engine, s), points.clone());
-                out[i] = Some(points);
-            }
-        }
-        Ok(out
-            .into_iter()
-            .map(|o| o.expect("every slot filled"))
-            .collect())
+    /// Whether a diagram request for `experiment` would be served from
+    /// the memo: for the optimized engine, whether its curve is built
+    /// (any `s` is then a slice); the naive baseline is never memoized.
+    pub fn diagram_cached(&self, experiment: &str, engine: DiagramEngine, _s: usize) -> bool {
+        engine == DiagramEngine::Optimized && self.curves.read().contains_key(experiment)
     }
 
-    /// Whether a diagram series is already cached (test/metrics hook).
-    pub fn diagram_cached(&self, experiment: &str, engine: DiagramEngine, s: usize) -> bool {
-        self.diagram_cache
-            .read()
-            .contains_key(&(experiment.to_string(), engine, s))
+    /// Number of memoized confusion curves (one per experiment at most).
+    #[cfg(test)]
+    fn cached_curves(&self) -> usize {
+        self.curves.read().len()
     }
 }
 
@@ -519,43 +488,38 @@ mod tests {
             .diagram_series("run-1", DiagramEngine::Optimized, 3)
             .unwrap();
         assert_eq!(a, b);
-        // Both engines agree.
+        // Both engines agree; the naive baseline is never memoized.
         let naive = store
             .diagram_series("run-1", DiagramEngine::Naive, 3)
             .unwrap();
         assert_eq!(a, naive);
+        assert!(!store.diagram_cached("run-1", DiagramEngine::Naive, 3));
     }
 
+    /// Every sample count is a slice of one curve: 100 distinct `s`
+    /// leave exactly one memo entry per experiment, and each slice
+    /// equals the naive baseline.
     #[test]
-    fn multi_series_matches_single_and_fills_cache() {
+    fn distinct_sample_counts_share_one_curve() {
         let mut store = store_with_data();
         store
             .add_experiment(
                 "people",
-                Experiment::from_scored_pairs("run-2", [(2u32, 3u32, 0.8)]),
+                Experiment::from_scored_pairs("run-2", [(2u32, 3u32, 0.8), (1, 3, 0.2)]),
                 None,
             )
             .unwrap();
-        // Warm one of the two so the multi call mixes cached + fresh.
-        let single = store
-            .diagram_series("run-1", DiagramEngine::Optimized, 3)
-            .unwrap();
-        let multi = store
-            .diagram_series_multi(&["run-1", "run-2"], DiagramEngine::Optimized, 3)
-            .unwrap();
-        assert_eq!(multi.len(), 2);
-        assert_eq!(multi[0], single);
-        assert_eq!(
-            multi[1],
-            store
-                .diagram_series("run-2", DiagramEngine::Optimized, 3)
-                .unwrap()
-        );
-        assert!(store.diagram_cached("run-2", DiagramEngine::Optimized, 3));
-        assert!(matches!(
-            store.diagram_series_multi(&["nope"], DiagramEngine::Optimized, 3),
-            Err(StoreError::UnknownExperiment(_))
-        ));
+        for s in 2..102 {
+            for name in ["run-1", "run-2"] {
+                let optimized = store
+                    .diagram_series(name, DiagramEngine::Optimized, s)
+                    .unwrap();
+                let naive = store.diagram_series(name, DiagramEngine::Naive, s).unwrap();
+                assert_eq!(optimized, naive, "{name} s={s}");
+            }
+        }
+        assert_eq!(store.cached_curves(), 2);
+        assert!(store.diagram_cached("run-1", DiagramEngine::Optimized, 7_777));
     }
 
     #[test]
@@ -568,6 +532,7 @@ mod tests {
         store.remove_experiment("run-1").unwrap();
         assert!(store.experiment("run-1").is_err());
         assert!(!store.diagram_cached("run-1", DiagramEngine::Optimized, 3));
+        assert_eq!(store.cached_curves(), 0);
         assert!(matches!(
             store.remove_experiment("run-1"),
             Err(StoreError::UnknownExperiment(_))
@@ -583,6 +548,48 @@ mod tests {
             .unwrap();
         let after = store.confusion_matrix("run-1").unwrap();
         assert_ne!(before, after);
+    }
+
+    #[test]
+    fn gold_standard_replacement_drops_only_that_datasets_curves() {
+        let mut store = store_with_data();
+        let mut other = Dataset::new("other", Schema::new(["name"]));
+        for id in ["p", "q"] {
+            other.push_record(id, [id]);
+        }
+        store.add_dataset(other).unwrap();
+        store
+            .set_gold_standard("other", Clustering::from_assignment(&[0, 0]))
+            .unwrap();
+        store
+            .add_experiment(
+                "other",
+                Experiment::from_scored_pairs("run-o", [(0u32, 1u32, 0.5)]),
+                None,
+            )
+            .unwrap();
+        let before = store
+            .diagram_series("run-1", DiagramEngine::Optimized, 3)
+            .unwrap();
+        store
+            .diagram_series("run-o", DiagramEngine::Optimized, 3)
+            .unwrap();
+        store
+            .set_gold_standard("people", Clustering::from_assignment(&[0, 1, 2, 3]))
+            .unwrap();
+        assert!(!store.diagram_cached("run-1", DiagramEngine::Optimized, 3));
+        assert!(store.diagram_cached("run-o", DiagramEngine::Optimized, 3));
+        // The rebuilt curve reflects the new gold standard.
+        let after = store
+            .diagram_series("run-1", DiagramEngine::Optimized, 3)
+            .unwrap();
+        assert_ne!(before, after);
+        assert_eq!(
+            after,
+            store
+                .diagram_series("run-1", DiagramEngine::Naive, 3)
+                .unwrap()
+        );
     }
 
     #[test]

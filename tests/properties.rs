@@ -1,10 +1,11 @@
 //! Property-based tests on the platform's core invariants.
 
 use frost::core::clustering::{closure, Clustering, UnionFind};
+use frost::core::dataset::ScoredPair;
 use frost::core::dataset::{
     parse_csv, write_csv, CsvOptions, Experiment, PairSet, RecordId, RecordPair,
 };
-use frost::core::diagram::DiagramEngine;
+use frost::core::diagram::{naive, ConfusionCurve, DiagramEngine};
 use frost::core::explore::setops::venn_regions;
 use frost::core::metrics::cluster as cm;
 use frost::core::metrics::confusion::{total_pairs, ConfusionMatrix};
@@ -40,6 +41,39 @@ proptest! {
         let a = DiagramEngine::Naive.confusion_series(24, &truth, &e, s);
         let b = DiagramEngine::Optimized.confusion_series(24, &truth, &e, s);
         prop_assert_eq!(a, b);
+    }
+
+    /// Every slice of the full-resolution curve equals the naive
+    /// per-threshold baseline: scores drawn from four values (ties),
+    /// unscored pairs, empty experiments, and sample counts from 2 to
+    /// well past `matches + 1`.
+    #[test]
+    fn curve_slices_equal_naive_series(
+        truth in clustering_strategy(20),
+        pairs in prop::collection::vec(
+            (0u32..20, 0u32..20, 0u8..5)
+                .prop_filter("distinct records", |(a, b, _)| a != b),
+            0..30,
+        ),
+    ) {
+        let e = Experiment::new(
+            "curve",
+            // Score 4 stands for "unscored".
+            pairs.into_iter().map(|(a, b, q)| match q {
+                4 => ScoredPair::unscored((a, b)),
+                _ => ScoredPair::scored((a, b), f64::from(q) / 4.0),
+            }),
+        );
+        let curve = ConfusionCurve::build(20, &truth, &e);
+        let matches = e.pairs_by_similarity_desc();
+        prop_assert_eq!(curve.matches(), e.len());
+        for s in [2, 3, 5, e.len() + 1, e.len() + 2, 3 * e.len() + 7].map(|s| s.max(2)) {
+            prop_assert_eq!(
+                curve.points(s),
+                naive::confusion_series(20, &truth, &matches, s),
+                "s = {}", s
+            );
+        }
     }
 
     /// Union-find pair counting equals the count derived from cluster
